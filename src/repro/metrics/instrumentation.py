@@ -12,18 +12,27 @@ Hot-path design.  ``record()`` runs once per emitted
 :class:`~repro.simulator.records.TimeSegment` — the single most executed
 piece of the online search.  Instead of scanning every active probe per
 segment (O(segments × probes)), probes are bucketed in a **routing
-index** keyed by ``(activity, Code selection parts, Process selection
-parts)``; a segment looks up only the buckets reachable from the
-prefixes of its own Code and Process attribution (at most
-``len(code parts) × len(process parts)`` dict hits), so untouched
+index**: one table per activity class (picked by identity, so the hot
+path never hashes an enum member), keyed by ``(Code selection parts,
+Process selection parts)``.  A segment goes to its activity's table —
+and stops there when that table is empty — then looks up only the
+buckets reachable from the prefixes of its own Code and Process
+attribution (at most ``len(code parts) × len(process parts)`` dict
+hits; the flat key tuple is memoized per attribution), so untouched
 probes cost nothing.  Residual constraints (Machine, SyncObject) are
 checked by :meth:`Focus.matches_parts` through a bounded identity memo —
 sound because segment ``parts`` dicts are interned
 (:func:`~repro.simulator.records.intern_parts`) and the memo pins its
-keys, so an id can never be reused while its entry is live.  The legacy
-full scan is kept as a reference path (``routing_enabled = False``) and
-the benchmark/property tests assert both paths accumulate byte-identical
-values.
+keys, so an id can never be reused while its entry is live.
+
+Reads are routed the same way: :meth:`InstrumentationManager.batched_reads`
+snapshots the in-progress activity once and routes each snapshot
+segment through the index, so :meth:`InstrumentationManager.read` visits
+only the in-progress segments routed to its handle, in snapshot order.
+
+The legacy full scan is kept as a reference path (``routing_enabled =
+False``), reads included; the benchmark and property tests assert both
+paths accumulate and read byte-identical values.
 """
 
 from __future__ import annotations
@@ -53,6 +62,12 @@ _MEMO_MAX = 1 << 16
 #: of every segment attribution in that hierarchy.
 _CODE_ROOT = ("Code",)
 _PROC_ROOT = ("Process",)
+
+#: One routing-table key: (Code selection parts, Process selection parts).
+RouteKey = Tuple[Tuple[str, ...], Tuple[str, ...]]
+
+_COMPUTE = Activity.COMPUTE
+_SYNC = Activity.SYNC
 
 
 def matched_processes(focus: Focus, engine: Engine) -> Tuple[str, ...]:
@@ -146,20 +161,22 @@ class InstrumentationManager:
         self.segments_routed = 0
         self.segments_scanned = 0
         self.probes_examined = 0
-        # routing index: (activity, code key, process key) -> {handle: probe}
-        self._route: Dict[
-            Tuple[Activity, Tuple[str, ...], Tuple[str, ...]],
-            Dict[int, ActiveInstrumentation],
-        ] = {}
+        # routing index, one table per activity class:
+        # (code key, process key) -> {handle: probe}
+        self._route_compute: Dict[RouteKey, Dict[int, ActiveInstrumentation]] = {}
+        self._route_sync: Dict[RouteKey, Dict[int, ActiveInstrumentation]] = {}
+        self._route_io: Dict[RouteKey, Dict[int, ActiveInstrumentation]] = {}
         # identity memos (see module docstring); values pin their keys
         self._match_memo: Dict[Tuple[int, int], Tuple[Focus, dict, bool]] = {}
-        self._prefix_memo: Dict[int, Tuple[dict, tuple, tuple]] = {}
+        self._prefix_memo: Dict[int, Tuple[dict, Tuple[RouteKey, ...]]] = {}
         # matched-process sets cached per focus, invalidated when the
         # engine's process table grows
         self._focus_procs: Dict[Focus, Tuple[str, ...]] = {}
         self._proc_version = engine.proc_table_version
-        # one in-progress snapshot shared across a batched read pass
+        # one in-progress snapshot shared across a batched read pass, and
+        # (routed path) its segments routed per handle, in snapshot order
         self._in_progress_snapshot: Optional[Tuple[TimeSegment, ...]] = None
+        self._in_progress_routed: Optional[Dict[int, List[TimeSegment]]] = None
         engine.add_sink(self)
         engine.add_perturbation_source(self._overhead_for)
 
@@ -223,8 +240,8 @@ class InstrumentationManager:
             charged=procs,
         )
         self._active[handle] = instr
-        for key in self._probe_keys(instr):
-            self._route.setdefault(key, {})[handle] = instr
+        for act, key in self._probe_keys(instr):
+            self._route_for(act).setdefault(key, {})[handle] = instr
         self.gate.add(cost)
         for p in procs:
             self._per_proc_cost[p] = self._per_proc_cost.get(p, 0.0) + cost
@@ -241,12 +258,13 @@ class InstrumentationManager:
         instr = self._active.pop(handle, None)
         if instr is None:
             return
-        for key in self._probe_keys(instr):
-            bucket = self._route.get(key)
+        for act, key in self._probe_keys(instr):
+            route = self._route_for(act)
+            bucket = route.get(key)
             if bucket is not None:
                 bucket.pop(handle, None)
                 if not bucket:
-                    del self._route[key]
+                    del route[key]
         instr.deleted_at = self.engine.now
         self._accrue_cost()
         self._release_cost(instr)
@@ -287,12 +305,20 @@ class InstrumentationManager:
     # ------------------------------------------------------------------
     # segment routing
     # ------------------------------------------------------------------
+    def _route_for(self, activity: Activity) -> Dict[RouteKey, Dict[int, ActiveInstrumentation]]:
+        """The routing table of one activity class (chosen by identity:
+        hashing an enum member is a Python-level call)."""
+        if activity is _COMPUTE:
+            return self._route_compute
+        if activity is _SYNC:
+            return self._route_sync
+        return self._route_io
+
     @staticmethod
-    def _probe_keys(
-        instr: ActiveInstrumentation,
-    ) -> List[Tuple[Activity, Tuple[str, ...], Tuple[str, ...]]]:
-        """Routing-index keys for one probe: its focus's Code and Process
-        selection parts, one key per activity class its metric counts."""
+    def _probe_keys(instr: ActiveInstrumentation) -> List[Tuple[Activity, RouteKey]]:
+        """Routing-index coordinates for one probe: its focus's Code and
+        Process selection parts, in the table of every activity class its
+        metric counts."""
         focus = instr.focus
         code = (
             focus.selection_parts("Code")
@@ -302,16 +328,19 @@ class InstrumentationManager:
             focus.selection_parts("Process")
             if "Process" in focus.hierarchies else _PROC_ROOT
         )
-        return [(act, code, proc) for act in sorted(instr.metric.activities, key=lambda a: a.value)]
+        return [
+            (act, (code, proc))
+            for act in sorted(instr.metric.activities, key=lambda a: a.value)
+        ]
 
-    def _segment_prefixes(self, parts: dict) -> Tuple[tuple, tuple]:
-        """All Code and Process prefixes of one (interned) attribution —
-        the candidate bucket coordinates for a segment."""
+    def _segment_keys(self, parts: dict) -> Tuple[RouteKey, ...]:
+        """Every (Code prefix, Process prefix) of one (interned)
+        attribution — the candidate bucket keys for a segment."""
         memo = self._prefix_memo
         key = id(parts)
         hit = memo.get(key)
         if hit is not None:
-            return hit[1], hit[2]
+            return hit[1]
         code = parts.get("Code")
         proc = parts.get("Process")
         # A segment without an attribution in a hierarchy can only match
@@ -322,10 +351,11 @@ class InstrumentationManager:
         proc_keys = (
             tuple(proc[:i] for i in range(1, len(proc) + 1)) if proc else (_PROC_ROOT,)
         )
+        keys = tuple((ck, pk) for ck in code_keys for pk in proc_keys)
         if len(memo) >= _MEMO_MAX:
             memo.clear()
-        memo[key] = (parts, code_keys, proc_keys)  # pin: id stays valid while cached
-        return code_keys, proc_keys
+        memo[key] = (parts, keys)  # pin: id stays valid while cached
+        return keys
 
     def _matches(self, focus: Focus, parts: dict) -> bool:
         """Memoized ``focus.matches_parts(parts)`` keyed by identity."""
@@ -369,16 +399,22 @@ class InstrumentationManager:
             return
         self.segments_routed += 1
         activity = segment.activity
-        route = self._route
-        code_keys, proc_keys = self._segment_prefixes(segment.parts)
+        if activity is _COMPUTE:  # _route_for, inlined on the hot path
+            route = self._route_compute
+        elif activity is _SYNC:
+            route = self._route_sync
+        else:
+            route = self._route_io
+        if not route:
+            return
+        accumulate = self._accumulate
         examined = 0
-        for ck in code_keys:
-            for pk in proc_keys:
-                bucket = route.get((activity, ck, pk))
-                if bucket:
-                    examined += len(bucket)
-                    for instr in bucket.values():
-                        self._accumulate(instr, segment)
+        for key in self._segment_keys(segment.parts):
+            bucket = route.get(key)
+            if bucket:
+                examined += len(bucket)
+                for instr in bucket.values():
+                    accumulate(instr, segment)
         self.probes_examined += examined
 
     def record_scan(self, segment: TimeSegment) -> None:
@@ -411,14 +447,37 @@ class InstrumentationManager:
         re-walking the per-process in-progress table for each handle is
         pure waste.  Virtual time cannot advance inside the block (reads
         do not step the engine), so one snapshot is exact for all of
-        them.
+        them.  On the routed path the snapshot is also routed once to
+        every live handle; a probe requested inside the block was not
+        routed, so its reads scan the snapshot.
         """
-        prev = self._in_progress_snapshot
-        self._in_progress_snapshot = tuple(self.engine.in_progress())
+        prev = self._in_progress_snapshot, self._in_progress_routed
+        snapshot = tuple(self.engine.in_progress())
+        self._in_progress_snapshot = snapshot
+        self._in_progress_routed = (
+            self._route_in_progress(snapshot) if self.routing_enabled else None
+        )
         try:
             yield
         finally:
-            self._in_progress_snapshot = prev
+            self._in_progress_snapshot, self._in_progress_routed = prev
+
+    def _route_in_progress(
+        self, segments: Tuple[TimeSegment, ...]
+    ) -> Dict[int, List[TimeSegment]]:
+        """Each live handle's candidate in-progress segments, in snapshot
+        order: the segments whose routing buckets hold that probe."""
+        routed: Dict[int, List[TimeSegment]] = {h: [] for h in self._active}
+        for seg in segments:
+            route = self._route_for(seg.activity)
+            if not route:
+                continue
+            for key in self._segment_keys(seg.parts):
+                bucket = route.get(key)
+                if bucket:
+                    for handle in bucket:
+                        routed[handle].append(seg)
+        return routed
 
     def read(self, handle: int) -> Tuple[float, float]:
         """Return (accumulated seconds, observed elapsed seconds).
@@ -432,9 +491,19 @@ class InstrumentationManager:
         if elapsed == 0.0:
             return 0.0, 0.0
         value = instr.accumulated
-        if instr.metric.kind == "time":
+        if instr.metric.kind != "time":
             # in-progress activity only contributes to time metrics;
             # counts only include completed operations
+            return value, elapsed
+        routed = self._in_progress_routed
+        segs = routed.get(handle) if routed is not None else None
+        if segs is not None:
+            # routed segments already carry one of the metric's activities
+            for seg in segs:
+                dt = instr.overlap(seg.start, seg.end)
+                if dt > 0.0 and self._matches(instr.focus, seg.parts):
+                    value += dt
+        else:
             segs = self._in_progress_snapshot
             if segs is None:
                 segs = tuple(self.engine.in_progress())

@@ -17,11 +17,14 @@ from collections import defaultdict
 from typing import Dict, Tuple
 
 from ..resources.names import join_path
-from ..simulator.records import Activity, TimeSegment
+from ..simulator.records import TimeSegment
 
 __all__ = ["FlatProfile", "ProfileCollector"]
 
-_ACT_KEYS = {Activity.COMPUTE: "compute", Activity.SYNC: "sync", Activity.IO: "io"}
+#: Cap on the attribution memo; cleared wholesale when full.  A paper-app
+#: session has tens of distinct (parts, stack) attributions; segments
+#: built with fresh stack tuples never hit and only cycle the memo.
+_MEMO_MAX = 1 << 14
 
 
 class FlatProfile:
@@ -52,25 +55,53 @@ class FlatProfile:
         )
         self.totals: Dict[str, float] = defaultdict(float)
         self.elapsed: float = 0.0
+        # (id(parts), id(stack)) -> (parts, stack, entry dicts to bump)
+        self._entry_memo: Dict[Tuple[int, int], tuple] = {}
 
     # -- accumulation -------------------------------------------------------
     def add(self, seg: TimeSegment) -> None:
-        key = _ACT_KEYS[seg.activity]
+        hit = self._entry_memo.get((id(seg.parts), id(seg.stack)))
+        entries = hit[2] if hit is not None else self._resolve(seg)
+        key = seg.activity._value_
+        duration = seg.duration
+        for entry in entries:
+            entry[key] += duration
+        end = seg.start + duration
+        if end > self.elapsed:
+            self.elapsed = end
+
+    def _resolve(self, seg: TimeSegment) -> tuple:
+        """The entry dicts one attribution charges, memoized by identity.
+
+        Segment ``parts`` dicts are interned per (process, node, module,
+        function, tag) and the engine reuses one stack tuple per
+        prototype, so ``(id(parts), id(stack))`` names one attribution;
+        the memo pins both objects, so an id cannot be reused while its
+        entry is live.  Every name is joined (and validated) before any
+        table is touched, so an invalid attribution changes nothing.
+        """
         code = join_path(("Code", seg.module, seg.function))
         proc = join_path(("Process", seg.process))
         node = join_path(("Machine", seg.node))
         tag = ""
-        self.by_code[code][key] += seg.duration
-        self.by_process[proc][key] += seg.duration
-        self.by_node[node][key] += seg.duration
         if seg.tag is not None and "SyncObject" in seg.parts:
             tag = join_path(seg.parts["SyncObject"])
-            self.by_tag[tag][key] += seg.duration
-        self.by_combo[(code, proc, node, tag)][key] += seg.duration
-        for frame in dict.fromkeys(seg.stack or ((seg.module, seg.function),)):
-            self.by_code_inclusive[join_path(("Code",) + frame)][key] += seg.duration
-        self.totals[key] += seg.duration
-        self.elapsed = max(self.elapsed, seg.end)
+        frames = [
+            join_path(("Code",) + frame)
+            for frame in dict.fromkeys(seg.stack or ((seg.module, seg.function),))
+        ]
+        entries = [self.by_code[code], self.by_process[proc], self.by_node[node]]
+        if tag:
+            entries.append(self.by_tag[tag])
+        entries.append(self.by_combo[(code, proc, node, tag)])
+        entries.extend(self.by_code_inclusive[name] for name in frames)
+        entries.append(self.totals)
+        entries = tuple(entries)
+        memo = self._entry_memo
+        if len(memo) >= _MEMO_MAX:
+            memo.clear()
+        memo[(id(seg.parts), id(seg.stack))] = (seg.parts, seg.stack, entries)
+        return entries
 
     # -- ground-truth evaluation -----------------------------------------------
     def focus_value(self, focus, activity_keys) -> float:

@@ -62,14 +62,19 @@ async def _handle_connection(
 
     try:
         while True:
-            line = await reader.readline()
-            if not line:
-                break
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = await _read_line(reader)
+                if not line:
+                    break
+                line = line.strip()
+                if not line:
+                    continue
                 message = json.loads(line)
+                if not isinstance(message, dict):
+                    raise TypeError(
+                        "a request must be a JSON object, "
+                        f"not {type(message).__name__}"
+                    )
                 op = message.get("op")
                 if op == "ping":
                     await send({"event": "pong"})
@@ -102,6 +107,30 @@ async def _handle_connection(
         pass
     finally:
         writer.close()
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """The next request line (``b""`` at end of stream).
+
+    A line longer than the reader's buffer limit is discarded through its
+    newline and reported as one :class:`ValueError`, so the connection
+    stays usable.  (``StreamReader.readline`` would drop only the
+    buffered part of such a line and parse its tail as the next request.)
+    """
+    too_long = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial  # the stream's last line has no newline
+        except asyncio.LimitOverrunError as exc:
+            # drop the part known to hold no newline; the bytes are buffered
+            await reader.readexactly(exc.consumed)
+            too_long = True
+            continue
+        if too_long:
+            raise ValueError("request line exceeds the server's line limit")
+        return line
 
 
 async def _handle_diagnose(service, message, send) -> None:

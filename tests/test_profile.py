@@ -1,11 +1,17 @@
 """Tests for the flat postmortem profiler and ground-truth focus values."""
 
+import json
+import random
+
 import pytest
 
 from repro.metrics import FlatProfile
+from repro.metrics import profile as profile_mod
 from repro.metrics.profile import ProfileCollector
-from repro.resources import ResourceSpace, whole_program
+from repro.resources import ResourceNameError, ResourceSpace, whole_program
+from repro.resources.names import join_path
 from repro.simulator import Activity, TimeSegment
+from repro.simulator import records as records_mod
 
 
 def seg(start, dur, activity, proc="p:1", node="n0", module="m.c", fn="f", tag=None):
@@ -118,3 +124,103 @@ class TestSerialization:
         pc = ProfileCollector()
         pc.record(seg(0, 1.0, Activity.COMPUTE))
         assert pc.profile.totals["compute"] == pytest.approx(1.0)
+
+
+def oracle_profile(segments):
+    """The profile of *segments* by the per-segment formula: every name
+    joined afresh for every segment."""
+    prof = FlatProfile()
+    for sg in segments:
+        key = sg.activity.value
+        code = join_path(("Code", sg.module, sg.function))
+        proc = join_path(("Process", sg.process))
+        node = join_path(("Machine", sg.node))
+        tag = ""
+        prof.by_code[code][key] += sg.duration
+        prof.by_process[proc][key] += sg.duration
+        prof.by_node[node][key] += sg.duration
+        if sg.tag is not None and "SyncObject" in sg.parts:
+            tag = join_path(sg.parts["SyncObject"])
+            prof.by_tag[tag][key] += sg.duration
+        prof.by_combo[(code, proc, node, tag)][key] += sg.duration
+        for frame in dict.fromkeys(sg.stack or ((sg.module, sg.function),)):
+            prof.by_code_inclusive[join_path(("Code",) + frame)][key] += sg.duration
+        prof.totals[key] += sg.duration
+        prof.elapsed = max(prof.elapsed, sg.end)
+    return prof
+
+
+def from_prototype(proto, start, duration):
+    """A segment materialised the way the engine's fast loop does it."""
+    sg = object.__new__(TimeSegment)
+    sg.__dict__.update(proto)
+    sg.__dict__["start"] = start
+    sg.__dict__["duration"] = duration
+    return sg
+
+
+class TestAttributionMemo:
+    """``FlatProfile.add`` resolves each (parts, stack) attribution once;
+    the tables must stay byte-identical to the per-segment formula."""
+
+    FRAMES = [("main.c", "main"), ("m.c", "f"), ("m.c", "g"), ("util.c", "h")]
+
+    def random_attribution(self, rng):
+        depth = rng.randint(0, 3)
+        stack = tuple(rng.choice(self.FRAMES) for _ in range(depth))
+        module, function = stack[-1] if stack else rng.choice(self.FRAMES)
+        activity = rng.choice(list(Activity))
+        tag = rng.choice(["3/0", "3/1", "Barrier"]) if activity is Activity.SYNC else None
+        rank = rng.randrange(3)
+        return activity, f"p:{rank}", f"n{rank % 2}", module, function, tag, stack
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_stream_matches_oracle(self, seed, monkeypatch):
+        monkeypatch.setattr(profile_mod, "_MEMO_MAX", 32)
+        rng = random.Random(seed)
+        attributions = [self.random_attribution(rng) for _ in range(20)]
+        protos = {}
+        stream = []
+        overflowed = False
+        prof = FlatProfile()
+        for i in range(3000):
+            if i == 1500:
+                # later segments intern fresh parts dicts for known
+                # attributions while older prototypes keep the old ones
+                records_mod._PARTS_CACHE.clear()
+            attr = rng.choice(attributions)
+            start, duration = rng.random() * 100.0, rng.random()
+            if rng.random() < 0.7:
+                if attr not in protos or rng.random() < 0.01:
+                    protos[attr] = records_mod.segment_prototype(*attr)
+                sg = from_prototype(protos[attr], start, duration)
+            else:
+                activity, process, node, module, function, tag, stack = attr
+                sg = TimeSegment.make(
+                    start, duration, activity, process, node, module, function,
+                    tag=tag, stack=tuple(list(stack)),  # a fresh tuple
+                )
+            before = len(prof._entry_memo)
+            prof.add(sg)
+            overflowed = overflowed or len(prof._entry_memo) < before
+            assert len(prof._entry_memo) <= 32
+            stream.append(sg)
+        assert overflowed
+        assert json.dumps(prof.to_dict()) == json.dumps(oracle_profile(stream).to_dict())
+
+    @pytest.mark.parametrize("bad", [
+        dict(module="bad/mod.c"),
+        dict(process="p/1"),
+        dict(stack=(("bad/x.c", "f"), ("m.c", "f"))),
+    ])
+    def test_invalid_attribution_raises(self, bad):
+        fields = dict(process="p:1", node="n0", module="m.c", function="f", stack=None)
+        fields.update(bad)
+        invalid = TimeSegment.make(0.0, 1.0, Activity.COMPUTE, **fields)
+        prof = FlatProfile()
+        prof.add(seg(0, 1.0, Activity.COMPUTE))
+        before = json.dumps(prof.to_dict())
+        for _ in range(2):  # a failed resolution is not memoized
+            with pytest.raises(ResourceNameError):
+                prof.add(invalid)
+        assert json.dumps(prof.to_dict()) == before

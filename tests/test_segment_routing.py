@@ -127,7 +127,9 @@ class TestRoutedScanEquivalence:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_streams_accumulate_byte_identical(self, seed):
         """Random probes, random segments, random mid-stream churn: the
-        routed and scan paths must agree bit-for-bit on every probe."""
+        routed and scan paths must agree bit-for-bit on every probe, in
+        accumulated values and in batched reads that include in-progress
+        activity."""
         rng = random.Random(seed)
         world = build_world(rng)
         routed, scan = world["routed"], world["scan"]
@@ -142,6 +144,31 @@ class TestRoutedScanEquivalence:
             assert h1 == h2
             probes[h1] = (routed.instrumentation(h1), scan.instrumentation(h1))
 
+        engine = world["engine"]
+        reads_with_in_progress = 0
+
+        def compare_reads(now):
+            """Advance the clock, put random activity in progress, and read
+            every live handle through both paths inside a batched pass."""
+            nonlocal reads_with_in_progress
+            engine.now = now
+            in_flight = []
+            for seg in (random_segment(rng, world, now) for _ in range(rng.randint(1, 6))):
+                began = now - rng.random() * 2.0
+                in_flight.append(TimeSegment.make(
+                    start=began, duration=now - began, activity=seg.activity,
+                    process=seg.process, node=seg.node, module=seg.module,
+                    function=seg.function, tag=seg.tag,
+                ))
+            engine.in_progress = lambda: iter(in_flight)
+            with routed.batched_reads(), scan.batched_reads():
+                for handle in sorted(routed._active):
+                    fast = routed.read(handle)
+                    assert fast == scan.read(handle), handle
+                    assert routed.normalized_read(handle) == scan.normalized_read(handle), handle
+                    if fast[0] != routed.instrumentation(handle).accumulated:
+                        reads_with_in_progress += 1
+
         for _ in range(rng.randint(5, 25)):
             request()
         start = 0.0
@@ -149,7 +176,9 @@ class TestRoutedScanEquivalence:
             roll = rng.random()
             if roll < 0.02:
                 request()
-            elif roll < 0.04 and routed.active_count:
+            elif roll < 0.03:
+                compare_reads(start)
+            elif roll < 0.05 and routed.active_count:
                 handle = rng.choice(sorted(
                     h for h in probes if h in routed._active))
                 routed.delete(handle)
@@ -160,7 +189,9 @@ class TestRoutedScanEquivalence:
                 routed.record(seg)
                 scan.record(seg)
 
+        compare_reads(start)
         assert probes
+        assert reads_with_in_progress > 0
         for handle, (fast, legacy) in probes.items():
             assert fast.accumulated == legacy.accumulated, handle
             assert fast.processes == legacy.processes, handle
@@ -199,10 +230,12 @@ class TestRoutingIndexMaintenance:
             mgr.request("cpu_time", random_focus(random.Random(i), world))
             for i in range(10)
         ]
-        assert mgr._route
+        # cpu_time probes route through the COMPUTE table only
+        assert mgr._route_for(Activity.COMPUTE)
         for h in handles:
             mgr.delete(h)
-        assert mgr._route == {}
+        for activity in Activity:
+            assert mgr._route_for(activity) == {}, activity
 
     def test_deleted_probe_stops_accumulating(self):
         world, mgr = self.build()
@@ -324,6 +357,32 @@ class TestBatchedReads:
         for h in handles:
             mgr.read(h)
         assert calls["n"] == 1 + len(handles)
+
+    def test_probe_requested_inside_pass_sees_in_progress(self):
+        from repro.simulator import Compute
+
+        def busy(proc):
+            with proc.function("m.c", "f"):
+                yield Compute(5.0)
+
+        engine = Engine(Machine.named("n", 1), latency=LAT)
+        engine.add_process("p:1", "n0", busy)
+        space = ResourceSpace()
+        space.add("/Process/p:1")
+        space.add("/Code/m.c/f")
+        # a negative latency backdates activation, so a probe requested
+        # mid-pass already has elapsed time and in-progress activity
+        mgr = InstrumentationManager(
+            engine, space, cost_model=CostModel(perturb_per_unit=0.0),
+            cost_limit=1e9, insertion_latency=-1.0,
+        )
+        engine.schedule(2.0, engine.stop)  # stop mid-compute
+        engine.run()
+        with mgr.batched_reads():
+            handle = mgr.request("cpu_time", whole_program(space))
+            inside = mgr.read(handle)
+        assert inside == mgr.read(handle)
+        assert inside[0] > 0.0
 
 
 class TestProgressEvery:

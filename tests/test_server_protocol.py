@@ -2,9 +2,11 @@
 
 import json
 import socket
+import threading
 
 import pytest
 
+from repro.campaign import SerialExecutor
 from repro.server import ServerBusy, ServerClient, ServerThread, TenantPolicy
 
 
@@ -76,6 +78,33 @@ class TestProtocol:
             f.flush()
             event = json.loads(f.readline())
         assert event["event"] == "error"
+
+    @staticmethod
+    def raw_exchange(server, payload):
+        """Send *payload* then a ping on one raw connection; return the
+        first two reply events."""
+        with socket.create_connection((server.host, server.port),
+                                      timeout=30) as sock:
+            f = sock.makefile("rwb")
+            f.write(payload + b'{"op": "ping"}\n')
+            f.flush()
+            return json.loads(f.readline()), json.loads(f.readline())
+
+    def test_non_object_json_is_error(self, server):
+        error, reply = self.raw_exchange(server, b"[1, 2]\n")
+        assert error["event"] == "error"
+        assert "JSON object" in error["error"]
+        # exactly one error event, and the connection still serves
+        assert reply == {"event": "pong"}
+
+    @pytest.mark.parametrize("size", [70_000, 400_000])
+    def test_overlong_line_is_error(self, server, size):
+        # past asyncio's default 64 KiB stream limit: the newline arrives
+        # either within the buffered chunk or after it was dropped
+        error, reply = self.raw_exchange(server, b"x" * size + b"\n")
+        assert error["event"] == "error"
+        assert "line limit" in error["error"]
+        assert reply == {"event": "pong"}
 
     def test_metrics_op(self, server):
         with ServerClient(server.host, server.port) as client:
@@ -155,29 +184,40 @@ class TestTenantOverWire:
         assert record["config"]["cost_limit"] == 2.0
 
     def test_rejection_over_wire(self):
-        # queue_limit=1 with one slot busy: the second queued submission
-        # must be rejected with a ServerBusy the client shim re-raises.
+        # One slot, one queue place.  Client 1 holds the slot (its session
+        # runs on a gated executor until the gate opens), client 2 waits
+        # in the queue, so client 3's submission must be rejected with a
+        # ServerBusy the client shim re-raises.
+        executor = GatedExecutor()
         with ServerThread(max_concurrent=1, queue_limit=1,
-                          slice_events=10) as srv:
-            clients = [ServerClient(srv.host, srv.port) for _ in range(8)]
+                          slice_events=10, executor=executor) as srv:
+            clients = [ServerClient(srv.host, srv.port) for _ in range(3)]
             try:
-                import threading
-
-                busy = []
-
-                def spin(c):
-                    try:
-                        c.diagnose("tester", iterations=60)
-                    except ServerBusy:
-                        busy.append(True)
-
-                threads = [threading.Thread(target=spin, args=(c,))
-                           for c in clients]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=120)
-                assert busy  # at least one submission hit backpressure
+                message = {"op": "diagnose", "app": "tester",
+                           "iterations": 20, "progress": True}
+                holder = clients[0].request(message)
+                assert next(holder)["event"] == "session-queued"
+                assert next(holder)["event"] == "session-started"
+                waiter = clients[1].request(message)
+                assert next(waiter)["event"] == "session-queued"
+                with pytest.raises(ServerBusy, match="queue full"):
+                    clients[2].diagnose("tester", iterations=20)
+                executor.gate.set()
+                for events in (holder, waiter):
+                    assert list(events)[-1]["event"] == "result"
             finally:
+                executor.gate.set()
                 for c in clients:
                     c.close()
+
+
+class GatedExecutor(SerialExecutor):
+    """Serial executor whose sessions wait for :attr:`gate` to open."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.gate = threading.Event()
+
+    def run(self, fn, payloads, timeout=None):
+        assert self.gate.wait(timeout=60), "gate never opened"
+        return super().run(fn, payloads, timeout)
