@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -302,8 +303,10 @@ def diagnose(
     :func:`default_pool`, so repeated diagnoses over the same archive
     reuse the open store, its parsed index, and the cached harvest; pass
     an explicit :class:`~repro.server.pool.StorePool` to scope the
-    reuse, or ``pool=None`` to re-open and re-harvest per call (the
-    pre-pool behavior).
+    reuse, or ``pool=None`` for a pool scoped to this call: nothing is
+    reused across calls, and a ``history`` path that is also the
+    ``store`` is opened once — harvested and saved through one handle —
+    then closed on return.
 
     >>> record = diagnose(build_poisson("C"), history="runs/", store="runs/")
     """
@@ -329,22 +332,30 @@ def diagnose(
     elif trace:
         tracer = Tracer()
     pool_obj = _resolve_pool(pool)
-    record = DiagnosisSession(
-        app=app,
-        directives=resolve_history(
-            history, app=app, pool=pool_obj, strict=strict_history
-        ),
-        config=config or (SearchConfig(**search_kwargs) if search_kwargs else None),
-        run_id=run_id,
-        tracer=tracer,
-        **session_kwargs,
-    ).run()
-    if store is not None:
-        store = pool_obj.get(store) if pool_obj is not None \
-            else resolve_store(store).store
-        store.save(record, overwrite=overwrite)
-        if trace is True:
-            trace_path = Path(store.root) / "traces" / f"{record.run_id}.jsonl"
+    if pool_obj is None:
+        # A pool for this call only: a history path that is also the
+        # store is opened (and its index segments parsed) once, not twice.
+        from .server.pool import StorePool
+
+        scope = StorePool()
+    else:
+        scope = nullcontext(pool_obj)
+    with scope as pool_obj:
+        record = DiagnosisSession(
+            app=app,
+            directives=resolve_history(
+                history, app=app, pool=pool_obj, strict=strict_history
+            ),
+            config=config or (SearchConfig(**search_kwargs) if search_kwargs else None),
+            run_id=run_id,
+            tracer=tracer,
+            **session_kwargs,
+        ).run()
+        if store is not None:
+            store = pool_obj.get(store)
+            store.save(record, overwrite=overwrite)
+            if trace is True:
+                trace_path = Path(store.root) / "traces" / f"{record.run_id}.jsonl"
     if trace_path is not None:
         trace_path.parent.mkdir(parents=True, exist_ok=True)
         tracer.write(trace_path)

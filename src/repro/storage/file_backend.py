@@ -37,6 +37,19 @@ state generation.  A writer killed at *any* point leaves the store
 readable — replaying a folded segment over the new base is idempotent —
 and ``rebuild()`` recovers from anything worse.
 
+* ``index.aggregate`` — the base generation's sidecar, written by
+  compaction and rebuild right after the base and trusted only while the
+  base's stat signature it records still matches.  It holds the base's
+  pre-folded harvest aggregates and its ``{run_id: seq}`` map.
+
+A save (and a delete) needs only to know whether its run id is indexed
+and under which ``seq``, so it never parses the base when it can prove
+that answer: the newest segment op naming the run decides, and a run no
+segment mentions is looked up in the sidecar's map.  It falls back to
+the full merge — parsing ``index.json`` — in legacy mode, without a
+sidecar, with a stale, unreadable or undecodable one, with one an older
+writer left without the map, and when a segment vanishes mid-read.
+
 ``segmented=False`` (the ``"file-legacy"`` backend) keeps the historical
 whole-index read-modify-write on every save, preserved as the
 equivalence reference and benchmark baseline; its writes fold any
@@ -184,7 +197,7 @@ def _replace(src: Path, dst: Path) -> None:
     os.replace(src, dst)
 
 
-def _atomic_write_json(path: Path, data: dict, *, indent: Optional[int] = None) -> None:
+def _atomic_write_json(path: Path, data: dict, *, sort_keys: bool = False) -> None:
     """Write-to-temp, fsync, rename — the only way bytes reach the store.
 
     The fsync before the rename is what makes the rename a commit point
@@ -196,7 +209,7 @@ def _atomic_write_json(path: Path, data: dict, *, indent: Optional[int] = None) 
     a torn temp file is invisible to every reader.
     """
     tmp = path.with_suffix(".tmp")
-    text = json.dumps(data, indent=indent, sort_keys=indent is not None)
+    text = json.dumps(data, sort_keys=sort_keys)
     with open(tmp, "w", encoding="utf-8") as fh:
         action = io_faults.check("write", tmp)
         if action is not None and action[0] == "short":
@@ -292,7 +305,10 @@ class FileBackend(StorageBackend):
         envelope = {"format": _INDEX_FORMAT, "runs": index}
         if generation:
             envelope["generation"] = generation
-        _atomic_write_json(self._index_path, envelope, indent=1)
+        # Unindented: an indent switches json.dumps from its C encoder to
+        # the pure-Python one, ~3x the time and ~4x the transient memory
+        # on a multi-megabyte base.
+        _atomic_write_json(self._index_path, envelope, sort_keys=True)
         with self._cache_lock:
             # Writes happen under the store lock, so no other writer can
             # replace the file between our rename and this stat.
@@ -381,6 +397,44 @@ class FileBackend(StorageBackend):
                         merged.pop(op["run_id"], None)
             self._merged_cache = (key, merged)
             return dict(merged)
+
+    def _indexed_meta(self, run_id: str) -> Optional[dict]:
+        """What ``read_merged().get(run_id)`` says about *run_id* as far
+        as a write needs it, without parsing the base when that can be
+        proven: ``None`` when the run is not indexed, else a meta that
+        carries its ``seq`` (only the ``seq`` when the answer came from
+        the sidecar).
+
+        The newest segment op naming the run decides (a ``put`` returns
+        its meta, a ``del`` returns ``None``); a run no segment mentions
+        is looked up in the validated sidecar's ``seqs``, the run ids of
+        the base it was written for.  Anything it cannot prove — legacy
+        mode, no sidecar, a stale, unreadable or undecodable one, one
+        without ``seqs``, a segment that vanished mid-read — falls back
+        to the full merge.  Runs under the store lock, like the merge it
+        replaces.
+        """
+        if self.segmented:
+            with self._cache_lock:
+                for name in reversed(self._segment_names()):
+                    ops = self._read_segment(name)
+                    if ops is None:
+                        break
+                    for op in reversed(ops or ()):
+                        if op.get("run_id") != run_id:
+                            continue
+                        if op.get("op") == "put":
+                            return op["meta"]
+                        if op.get("op") == "del":
+                            return None
+                else:
+                    seqs = self._base_seqs()
+                    if seqs is not None:
+                        if run_id not in seqs:
+                            return None
+                        seq = seqs[run_id]
+                        return {} if seq is None else {"seq": seq}
+        return self.read_merged().get(run_id)
 
     # -- writer state ---------------------------------------------------
     def _read_state(self) -> dict:
@@ -508,7 +562,8 @@ class FileBackend(StorageBackend):
                 self._sidecar_cache = None
             return
         assert self._base_cache is not None  # _write_base just ran
-        base_sig = self._base_cache[0]
+        base_sig, _generation, base = self._base_cache
+        seqs = {run_id: meta.get("seq") for run_id, meta in base.items()}
         payload = {
             "format": _AGGREGATE_FORMAT,
             "base_sig": list(base_sig),
@@ -516,6 +571,7 @@ class FileBackend(StorageBackend):
             "all": aggs["all"].to_dict(),
             "by_app": {app: aggs["by_app"][app].to_dict()
                        for app in sorted(aggs["by_app"])},
+            "seqs": json.dumps(seqs, separators=(",", ":")),
         }
         _atomic_write_json(path, payload)
         with self._cache_lock:
@@ -526,6 +582,7 @@ class FileBackend(StorageBackend):
                     "max_seq": aggs["max_seq"],
                     "all": aggs["all"],
                     "by_app": dict(aggs["by_app"]),
+                    "seqs": seqs,
                 },
             )
 
@@ -535,7 +592,13 @@ class FileBackend(StorageBackend):
         ``None`` for a missing/unparseable sidecar or one whose recorded
         base signature no longer matches — any base rewrite (compaction,
         rebuild, a legacy-mode fold) invalidates it without coordination,
-        exactly like the other stat-signature caches.
+        exactly like the other stat-signature caches.  Only a sidecar
+        that *parsed* to something unusable is remembered as such; a
+        read error (EIO, ...) answers ``None`` for this call alone, so a
+        transient fault cannot disable the fast paths for good.
+
+        ``"seqs"`` is still the undecoded text here (``None`` when the
+        sidecar predates it); :meth:`_base_seqs` decodes it on demand.
         """
         path = self.root / _AGGREGATE_NAME
         with self._cache_lock:
@@ -544,12 +607,18 @@ class FileBackend(StorageBackend):
             except OSError:
                 return None
             if self._sidecar_cache is None or self._sidecar_cache[0] != sig:
-                parsed: Optional[dict] = None
                 try:
                     io_faults.check("read", path)
-                    with open(path, "r", encoding="utf-8") as fh:
-                        data = json.load(fh)
-                    if data.get("format") == _AGGREGATE_FORMAT:
+                    with open(path, "rb") as fh:
+                        text = fh.read()
+                except OSError:
+                    return None
+                parsed: Optional[dict] = None
+                try:
+                    data = json.loads(text)
+                    if isinstance(data, dict) \
+                            and data.get("format") == _AGGREGATE_FORMAT:
+                        seqs = data.get("seqs")
                         parsed = {
                             "base_sig": tuple(data["base_sig"]),
                             "max_seq": int(data["max_seq"]),
@@ -558,9 +627,9 @@ class FileBackend(StorageBackend):
                                 app: HarvestAggregate.from_dict(d)
                                 for app, d in data["by_app"].items()
                             },
+                            "seqs": seqs if isinstance(seqs, str) else None,
                         }
-                except (OSError, json.JSONDecodeError, KeyError, ValueError,
-                        TypeError):
+                except (KeyError, ValueError, TypeError, AttributeError):
                     parsed = None
                 self._sidecar_cache = (sig, parsed)
             parsed = self._sidecar_cache[1]
@@ -573,6 +642,30 @@ class FileBackend(StorageBackend):
             if parsed["base_sig"] != base_sig:
                 return None
             return parsed
+
+    def _base_seqs(self) -> Optional[Dict[str, Optional[int]]]:
+        """The validated sidecar's ``{run_id: seq}`` for the live base, or
+        ``None`` when no valid sidecar carries one.
+
+        The sidecar stores the map as a JSON-encoded *string*: a harvest
+        reads the same file, and scanning one string costs it ~10x less
+        than decoding a 10^5-entry object it has no use for.  The map is
+        decoded here, once per sidecar file.
+        """
+        with self._cache_lock:
+            side = self._read_sidecar()
+            if side is None:
+                return None
+            seqs = side["seqs"]
+            if isinstance(seqs, str):
+                try:
+                    seqs = json.loads(seqs)
+                except ValueError:
+                    seqs = None
+                if not isinstance(seqs, dict):
+                    seqs = None
+                side["seqs"] = seqs
+            return seqs
 
     def _current_aggregates(self) -> Optional[dict]:
         """Aggregates covering exactly the current merged view, or ``None``.
@@ -741,7 +834,7 @@ class FileBackend(StorageBackend):
         return dest
 
     def _drop_index_entry(self, run_id: str) -> None:
-        if self.read_merged().get(run_id) is None:
+        if self._indexed_meta(run_id) is None:
             return
         if self.segmented:
             self._append_segment([{"op": "del", "run_id": run_id}])
@@ -787,7 +880,7 @@ class FileBackend(StorageBackend):
             # may leave an orphaned record file behind, and a retry —
             # or a later legitimate save of the same run id — must be
             # able to reclaim it.
-            prior = self.read_merged().get(run_id)
+            prior = self._indexed_meta(run_id)
             if prior is not None and not overwrite:
                 raise StoreError(f"run {run_id!r} already stored")
             meta = dict(meta)

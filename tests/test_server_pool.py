@@ -6,7 +6,7 @@ from repro import diagnose, harvest
 from repro.apps.synthetic import make_pingpong
 from repro.facade import default_pool
 from repro.server import StorePool
-from repro.storage import ExperimentStore
+from repro.storage import ExperimentStore, StoreError
 
 FAST = dict(min_interval=5.0, check_period=0.5, insertion_latency=0.2, cost_limit=50.0)
 
@@ -140,3 +140,57 @@ class TestFacadePoolRouting:
         a["metrics"] = deterministic_metrics(a["metrics"])
         b["metrics"] = deterministic_metrics(b["metrics"])
         assert a == b
+
+
+def _index_bytes(root) -> dict:
+    """Every index file of a file store: the base and each segment."""
+    files = [root / "index.json"] + sorted((root / "segments").iterdir())
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in files}
+
+
+class TestCallScopedPool:
+    """``diagnose(pool=None)`` runs through a pool of its own, closed on
+    return: a history path that is also the store opens once."""
+
+    @pytest.fixture
+    def closed_pools(self, monkeypatch):
+        """The stats of every pool at the moment it is closed."""
+        seen = []
+        close = StorePool.close
+
+        def recording_close(self):
+            seen.append(self.stats())
+            close(self)
+
+        monkeypatch.setattr(StorePool, "close", recording_close)
+        return seen
+
+    def test_opens_the_store_once_and_matches_an_explicit_pool(
+            self, tmp_path, closed_pools):
+        scoped, explicit = tmp_path / "scoped", tmp_path / "explicit"
+        _seed(scoped)
+        _seed(explicit)
+        closed_pools.clear()  # the seeding calls' own pools
+        default_before = default_pool().stats()
+        record = diagnose(make_pingpong(iterations=40), history=scoped,
+                          store=scoped, run_id="directed", pool=None, **FAST)
+        assert record.run_id == "directed"
+        assert len(closed_pools) == 1
+        stats = closed_pools[0]
+        assert (stats["store_misses"], stats["store_hits"]) == (1, 1)
+        with StorePool() as pool:
+            diagnose(make_pingpong(iterations=40), history=explicit,
+                     store=explicit, run_id="directed", pool=pool, **FAST)
+        assert _index_bytes(scoped) == _index_bytes(explicit)
+        assert default_pool().stats() == default_before
+
+    def test_failing_save_still_closes_the_pool(self, tmp_path,
+                                                closed_pools):
+        _seed(tmp_path / "runs")
+        closed_pools.clear()
+        with pytest.raises(StoreError, match="already stored"):
+            diagnose(make_pingpong(iterations=40), history=tmp_path / "runs",
+                     store=tmp_path / "runs", run_id="seed-0001",
+                     pool=None, **FAST)
+        assert len(closed_pools) == 1
+        assert closed_pools[0]["store_misses"] == 1
